@@ -45,11 +45,12 @@ racecore:
 # (buffered vs two-pass vs single-decode), the forest-training and
 # collector-stage benchmarks that record the parallel speedup, the
 # fleet synthesis throughput, the sketch merge/ingest hot paths and the
-# multi-metric entropy family.
+# multi-metric entropy family, the PII automaton's scan throughput and
+# the textual payload synthesizer.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/ml ./internal/analysis \
 		./internal/fleet ./internal/sketch ./internal/reshape ./internal/entropy \
-		./internal/dataset
+		./internal/dataset ./internal/pii ./internal/devices
 
 # Perf regression gate: single-decode streaming must hold the checked-in
 # fraction of buffered throughput on the tiny export (floor in
@@ -57,12 +58,15 @@ bench:
 perfguard:
 	MONIOTR_PERFGUARD=1 $(GO) test -run TestStreamingThroughputFloor -count=1 -v .
 
-# Run every pcap-parsing fuzzer briefly; the seed corpus plus a few
-# seconds of mutation catches framing regressions without CI-scale cost.
+# Run every fuzz target of every package briefly; the seed corpus plus a
+# few seconds of mutation catches framing and matching regressions
+# without CI-scale cost.
 fuzz:
-	@for f in $$($(GO) test ./internal/pcapio -list '^Fuzz' | grep '^Fuzz'); do \
-		echo "fuzzing $$f"; \
-		$(GO) test ./internal/pcapio -run '^$$' -fuzz "^$$f$$" -fuzztime 5s || exit 1; \
+	@for pkg in $$($(GO) list ./...); do \
+		for f in $$($(GO) test "$$pkg" -list '^Fuzz' | grep '^Fuzz'); do \
+			echo "fuzzing $$pkg $$f"; \
+			$(GO) test "$$pkg" -run '^$$' -fuzz "^$$f$$" -fuzztime 5s || exit 1; \
+		done; \
 	done
 
 # End-to-end capture round trip: export a tiny campaign as per-device

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/neu-sns/intl-iot-go/internal/features"
 	"github.com/neu-sns/intl-iot-go/internal/ml"
@@ -28,7 +29,7 @@ type ContentCollector struct {
 	// FeatureSet selects the feature family (SetPaper by default).
 	FeatureSet features.Set
 
-	scanners map[string]*pii.Scanner
+	scanners *scannerSet
 	// pending holds first-seen findings tagged with their discovery
 	// position — the experiment's delivery sequence plus the rank within
 	// that experiment. Findings() sorts by that position before the
@@ -47,6 +48,27 @@ type ContentCollector struct {
 	devName     map[instColKey]string
 }
 
+// scannerSet compiles each device instance's PII scanner once. A
+// collector and every shard and fold unit split from it share one set,
+// so a streaming ingest, which opens a fold unit per capture file, does
+// not recompile a device's corpus for every file. Scanners are
+// read-only, so units on different goroutines can share them.
+type scannerSet struct {
+	mu sync.Mutex
+	m  map[string]*pii.Scanner
+}
+
+func (s *scannerSet) get(devID string, corpus *pii.Corpus) *pii.Scanner {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc := s.m[devID]
+	if sc == nil {
+		sc = pii.NewScanner(corpus)
+		s.m[devID] = sc
+	}
+	return sc
+}
+
 type seqFinding struct {
 	seq int64
 	ord int
@@ -62,7 +84,7 @@ type instColKey struct {
 func NewContentCollector() *ContentCollector {
 	return &ContentCollector{
 		FeatureSet:  features.SetPaper,
-		scanners:    make(map[string]*pii.Scanner),
+		scanners:    &scannerSet{m: make(map[string]*pii.Scanner)},
 		findSeen:    make(map[PIIFinding]bool),
 		datasets:    make(map[instColKey]*ml.Dataset),
 		devCategory: make(map[instColKey]string),
@@ -84,11 +106,7 @@ func (c *ContentCollector) visitAt(seq int64, exp *testbed.Experiment) {
 	devID := exp.Device.ID()
 	// PII scan over every payload (ciphertext can't match, so scanning
 	// everything is equivalent to scanning plaintext only).
-	sc := c.scanners[devID]
-	if sc == nil {
-		sc = pii.NewScanner(exp.Device.PII)
-		c.scanners[devID] = sc
-	}
+	sc := c.scanners.get(devID, exp.Device.PII)
 	ord := 0
 	for _, p := range exp.Packets {
 		if len(p.Payload) == 0 {
@@ -157,21 +175,20 @@ func (c *ContentCollector) finalize() {
 	c.pending = nil
 }
 
-// newShard returns an empty collector with c's feature set.
+// newShard returns an empty collector with c's feature set, sharing c's
+// compiled scanners.
 func (c *ContentCollector) newShard() *ContentCollector {
 	s := NewContentCollector()
 	s.FeatureSet = c.FeatureSet
+	s.scanners = c.scanners
 	return s
 }
 
-// merge folds a shard into c. Datasets, metadata and scanners are keyed
-// by device instance, which routes to exactly one shard, so their unions
-// are disjoint and dataset row order matches serial delivery. Pending
+// merge folds a shard into c. Datasets and metadata are keyed by device
+// instance, which routes to exactly one shard, so their unions are
+// disjoint and dataset row order matches serial delivery. Pending
 // findings concatenate and are re-interleaved by finalize.
 func (c *ContentCollector) merge(o *ContentCollector) {
-	for dev, sc := range o.scanners {
-		c.scanners[dev] = sc
-	}
 	c.pending = append(c.pending, o.pending...)
 	for f := range o.findSeen {
 		c.findSeen[f] = true
@@ -196,9 +213,6 @@ func (c *ContentCollector) merge(o *ContentCollector) {
 // a serial run would have assigned. Dataset rows append rather than
 // replace: one instance's rows span every unit of its files.
 func (c *ContentCollector) mergeFold(o *ContentCollector, base, count int64) {
-	for dev, sc := range o.scanners {
-		c.scanners[dev] = sc
-	}
 	for _, sf := range o.pending {
 		sf.seq += base
 		c.pending = append(c.pending, sf)

@@ -62,6 +62,7 @@ type Gen struct {
 	dnsID    uint16
 	portSeq  uint16
 	peerSeq  int
+	text     []byte // textualPayload's scratch buffer
 }
 
 // NewGen builds a generator for a device instance in an environment.

@@ -2,6 +2,7 @@ package devices
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/neu-sns/intl-iot-go/internal/faults"
@@ -425,20 +426,35 @@ func (g *Gen) randomPayload(size int) []byte {
 }
 
 // textualPayload is a low-entropy key=value message; the leak string, when
-// present and first==true, is embedded verbatim.
+// present and first==true, is embedded verbatim. The message is built in
+// the generator's scratch buffer, so the only allocation is the returned
+// payload.
 func (g *Gen) textualPayload(size int, leak string, first bool) []byte {
 	if size < 16 {
 		size = 16
 	}
-	msg := fmt.Sprintf("cmd=status&seq=%d&state=on&rssi=-%d&uptime=%d&",
-		g.Env.Rng.Intn(10000), 30+g.Env.Rng.Intn(40), g.Env.Rng.Intn(100000))
+	b := g.text[:0]
 	if first && leak != "" {
-		msg = leak + "&" + msg
+		b = append(b, leak...)
+		b = append(b, '&')
 	}
-	for len(msg) < size {
-		msg += fmt.Sprintf("pad%d=%d&", len(msg), g.Env.Rng.Intn(10))
+	b = append(b, "cmd=status&seq="...)
+	b = strconv.AppendInt(b, int64(g.Env.Rng.Intn(10000)), 10)
+	b = append(b, "&state=on&rssi=-"...)
+	b = strconv.AppendInt(b, int64(30+g.Env.Rng.Intn(40)), 10)
+	b = append(b, "&uptime="...)
+	b = strconv.AppendInt(b, int64(g.Env.Rng.Intn(100000)), 10)
+	b = append(b, '&')
+	for len(b) < size {
+		n := len(b)
+		b = append(b, "pad"...)
+		b = strconv.AppendInt(b, int64(n), 10)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(g.Env.Rng.Intn(10)), 10)
+		b = append(b, '&')
 	}
-	return []byte(msg[:size])
+	g.text = b
+	return append([]byte(nil), b[:size]...)
 }
 
 // mixedPayload is three-quarters textual, one-quarter random: its byte

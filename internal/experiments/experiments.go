@@ -232,9 +232,11 @@ func (r *Runner) runControlledJob(j controlledJob) []*testbed.Experiment {
 
 // fanOut executes numJobs synthesis jobs on the configured worker count
 // and hands every produced item to deliver in submission order, so
-// analyses see a deterministic stream regardless of parallelism. Memory
-// stays bounded at ~workers in-flight legs: each job gets a result
-// channel, workers fill them, the consumer drains them in order. It is a
+// analyses see a deterministic stream regardless of parallelism. Each
+// job gets a result channel, workers fill them, the consumer drains them
+// in order. Job i is dispatched only once fewer than 2×workers earlier
+// jobs are undelivered, so at most 2×workers legs are synthesized or
+// waiting at any time, however far synthesis outpaces delivery. It is a
 // free function because methods cannot take type parameters; the element
 // type T is *testbed.Experiment for the controlled/idle legs and
 // *UncontrolledResult for the user-study leg.
@@ -270,8 +272,10 @@ func fanOut[T any](r *Runner, stage string, numJobs int, run func(int) []T, deli
 		results[i] = make(chan []T, 1)
 	}
 	next := make(chan int)
+	lead := make(chan struct{}, 2*workers)
 	go func() {
 		for i := 0; i < numJobs; i++ {
+			lead <- struct{}{}
 			next <- i
 		}
 		close(next)
@@ -300,6 +304,7 @@ func fanOut[T any](r *Runner, stage string, numJobs int, run func(int) []T, deli
 			count++
 			deliver(i, exp)
 		}
+		<-lead
 	}
 	if r.metrics != nil {
 		r.metrics.Counter(stage + "_experiments_total").Add(int64(count))

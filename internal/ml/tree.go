@@ -2,7 +2,7 @@ package ml
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // TreeConfig controls decision-tree induction.
@@ -27,15 +27,12 @@ type node struct {
 	threshold float64
 	left      *node
 	right     *node
-	// leaf payload
-	class string
-	votes map[string]int
+	class     string // leaf payload
 }
 
 // Tree is a trained CART classifier.
 type Tree struct {
-	root    *node
-	classes []string
+	root *node
 }
 
 // TrainTree fits a CART tree on d. The rng drives feature subsampling
@@ -44,144 +41,187 @@ func TrainTree(d *Dataset, cfg TreeConfig, rng *rand.Rand) *Tree {
 	if cfg.MinSamplesSplit < 2 {
 		cfg.MinSamplesSplit = 2
 	}
+	g := newGrower(d, cfg, rng)
 	idx := make([]int, d.NumExamples())
 	for i := range idx {
 		idx[i] = i
 	}
-	t := &Tree{classes: d.Classes()}
-	t.root = grow(d, idx, cfg, rng, 0)
-	return t
+	return &Tree{root: g.grow(idx, 0)}
 }
 
-func grow(d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand, depth int) *node {
-	votes := countVotes(d, idx)
-	if len(votes) == 1 ||
-		len(idx) < cfg.MinSamplesSplit ||
-		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) {
-		return leaf(votes)
+// grower holds one tree's induction state. Labels are mapped once to
+// int32 class indices in sorted label order, so the leaf argmax's
+// "first maximum wins" is the lexicographically smallest label, and
+// every count is a slot in a slice reused across nodes.
+type grower struct {
+	d       *Dataset
+	cfg     TreeConfig
+	rng     *rand.Rand
+	classes []string
+	y       []int32
+
+	counts, left, right []int64
+	features            []int
+	pairs               []valClass
+}
+
+type valClass struct {
+	v float64
+	c int32
+}
+
+func newGrower(d *Dataset, cfg TreeConfig, rng *rand.Rand) *grower {
+	classes := d.Classes()
+	slices.Sort(classes)
+	rank := make(map[string]int32, len(classes))
+	for i, c := range classes {
+		rank[c] = int32(i)
 	}
-	feat, thr, gain := bestSplit(d, idx, cfg, rng)
-	if feat < 0 || gain <= cfg.MinImpurityDecrease {
-		return leaf(votes)
+	y := make([]int32, len(d.Labels))
+	for i, l := range d.Labels {
+		y[i] = rank[l]
 	}
-	var left, right []int
+	k := len(classes)
+	return &grower{
+		d: d, cfg: cfg, rng: rng, classes: classes, y: y,
+		counts:   make([]int64, k),
+		left:     make([]int64, k),
+		right:    make([]int64, k),
+		features: make([]int, d.NumFeatures()),
+		pairs:    make([]valClass, len(y)),
+	}
+}
+
+// grow builds the subtree over the rows in idx, reordering idx in place
+// so each child's rows are a contiguous sub-slice.
+func (g *grower) grow(idx []int, depth int) *node {
+	clear(g.counts)
 	for _, i := range idx {
-		if d.Features[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+		g.counts[g.y[i]]++
+	}
+	// The leaf this node becomes if it is not split, decided now because
+	// the split search reuses the count scratch.
+	best, distinct := -1, 0
+	for c, n := range g.counts {
+		if n > 0 {
+			distinct++
+		}
+		if best < 0 || n > g.counts[best] {
+			best = c
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
-		return leaf(votes)
+	class := ""
+	if best >= 0 {
+		class = g.classes[best]
+	}
+	if distinct == 1 ||
+		len(idx) < g.cfg.MinSamplesSplit ||
+		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) {
+		return &node{feature: -1, class: class}
+	}
+	feat, thr, gain := g.bestSplit(idx)
+	if feat < 0 || gain <= g.cfg.MinImpurityDecrease {
+		return &node{feature: -1, class: class}
+	}
+	lo, hi := 0, len(idx)
+	for lo < hi {
+		if g.d.Features[idx[lo]][feat] <= thr {
+			lo++
+		} else {
+			hi--
+			idx[lo], idx[hi] = idx[hi], idx[lo]
+		}
+	}
+	if lo == 0 || lo == len(idx) {
+		return &node{feature: -1, class: class}
 	}
 	return &node{
 		feature:   feat,
 		threshold: thr,
-		left:      grow(d, left, cfg, rng, depth+1),
-		right:     grow(d, right, cfg, rng, depth+1),
+		left:      g.grow(idx[:lo], depth+1),
+		right:     g.grow(idx[lo:], depth+1),
 	}
 }
 
-func leaf(votes map[string]int) *node {
-	best, bestN := "", -1
-	// Deterministic tie-break by label order.
-	keys := make([]string, 0, len(votes))
-	for k := range votes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if votes[k] > bestN {
-			best, bestN = k, votes[k]
-		}
-	}
-	return &node{feature: -1, class: best, votes: votes}
-}
-
-func countVotes(d *Dataset, idx []int) map[string]int {
-	votes := make(map[string]int)
-	for _, i := range idx {
-		votes[d.Labels[i]]++
-	}
-	return votes
-}
-
-// gini computes the Gini impurity of a vote count. The sum of squared
-// counts is accumulated in integers so the result does not depend on map
-// iteration order (float accumulation order would perturb the low bits
-// and make split selection — and hence whole trees — nondeterministic).
-func gini(votes map[string]int, total int) float64 {
+// gini computes the Gini impurity of a node of total rows whose class
+// counts square-sum to sumSq. The sum is kept in integers so the result
+// does not depend on accumulation order.
+func gini(sumSq int64, total int) float64 {
 	if total == 0 {
 		return 0
-	}
-	var sumSq int64
-	for _, c := range votes {
-		sumSq += int64(c) * int64(c)
 	}
 	t := int64(total)
 	return 1 - float64(sumSq)/float64(t*t)
 }
 
 // bestSplit finds the (feature, threshold) pair with maximum Gini
-// decrease. Thresholds are midpoints between consecutive distinct sorted
-// feature values.
-func bestSplit(d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) (int, float64, float64) {
-	nf := d.NumFeatures()
+// decrease; g.counts must hold the class counts of idx. Thresholds are
+// midpoints between consecutive distinct sorted feature values. A
+// candidate depends only on which values fall on each side of a
+// distinct-value boundary, so the order of equal values after sorting
+// does not matter. Moving one row of class c from right to left changes
+// the squared-count sums by +2·left[c]+1 and −(2·right[c]−1), which
+// keeps both sums exact integers without rescanning the classes.
+func (g *grower) bestSplit(idx []int) (int, float64, float64) {
+	nf := len(g.features)
 	if nf == 0 {
 		return -1, 0, 0
 	}
-	features := make([]int, nf)
+	features := g.features
 	for i := range features {
 		features[i] = i
 	}
-	if cfg.FeatureSubset > 0 && cfg.FeatureSubset < nf && rng != nil {
-		rng.Shuffle(nf, func(i, j int) { features[i], features[j] = features[j], features[i] })
-		features = features[:cfg.FeatureSubset]
-		sort.Ints(features) // determinism of tie-breaks
+	if g.cfg.FeatureSubset > 0 && g.cfg.FeatureSubset < nf && g.rng != nil {
+		g.rng.Shuffle(nf, func(i, j int) { features[i], features[j] = features[j], features[i] })
+		features = features[:g.cfg.FeatureSubset]
+		slices.Sort(features) // determinism of tie-breaks
 	}
 
-	parentVotes := countVotes(d, idx)
-	parentGini := gini(parentVotes, len(idx))
+	var parentSq int64
+	for _, n := range g.counts {
+		parentSq += n * n
+	}
+	nTotal := len(idx)
+	parentGini := gini(parentSq, nTotal)
 	bestFeat, bestThr, bestGain := -1, 0.0, 0.0
 
-	type valLabel struct {
-		v     float64
-		label string
-	}
-	vl := make([]valLabel, len(idx))
-
+	vc := g.pairs[:nTotal]
+	left, right := g.left, g.right
 	for _, f := range features {
 		for i, j := range idx {
-			vl[i] = valLabel{d.Features[j][f], d.Labels[j]}
+			vc[i] = valClass{g.d.Features[j][f], g.y[j]}
 		}
-		sort.Slice(vl, func(a, b int) bool { return vl[a].v < vl[b].v })
-
-		leftVotes := make(map[string]int)
-		rightVotes := make(map[string]int)
-		for _, e := range vl {
-			rightVotes[e.label]++
-		}
-		nLeft := 0
-		nTotal := len(vl)
-		for i := 0; i < nTotal-1; i++ {
-			leftVotes[vl[i].label]++
-			rightVotes[vl[i].label]--
-			if rightVotes[vl[i].label] == 0 {
-				delete(rightVotes, vl[i].label)
+		slices.SortFunc(vc, func(a, b valClass) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case a.v > b.v:
+				return 1
 			}
-			nLeft++
-			if vl[i].v == vl[i+1].v {
+			return 0
+		})
+
+		clear(left)
+		copy(right, g.counts)
+		leftSq, rightSq := int64(0), parentSq
+		for i := 0; i < nTotal-1; i++ {
+			c := vc[i].c
+			leftSq += 2*left[c] + 1
+			left[c]++
+			rightSq -= 2*right[c] - 1
+			right[c]--
+			if vc[i].v == vc[i+1].v {
 				continue // can't split between equal values
 			}
+			nLeft := i + 1
 			nRight := nTotal - nLeft
-			w := float64(nLeft)/float64(nTotal)*gini(leftVotes, nLeft) +
-				float64(nRight)/float64(nTotal)*gini(rightVotes, nRight)
+			w := float64(nLeft)/float64(nTotal)*gini(leftSq, nLeft) +
+				float64(nRight)/float64(nTotal)*gini(rightSq, nRight)
 			gain := parentGini - w
 			if gain > bestGain {
 				bestGain = gain
 				bestFeat = f
-				bestThr = (vl[i].v + vl[i+1].v) / 2
+				bestThr = (vc[i].v + vc[i+1].v) / 2
 			}
 		}
 	}

@@ -170,3 +170,35 @@ func TestOffsetReported(t *testing.T) {
 		t.Fatalf("matches: %+v", matches)
 	}
 }
+
+func TestOffsetIsRawPayloadOffset(t *testing.T) {
+	s := NewScanner(corpus())
+	// Invalid UTF-8 ahead of the match must not shift the offset.
+	matches := s.Scan([]byte("\xff\xfeJANE.DOE@EXAMPLE.COM"))
+	if len(matches) != 1 || matches[0].Item.Kind != KindEmail || matches[0].Offset != 2 {
+		t.Fatalf("matches: %+v", matches)
+	}
+}
+
+// Case folding is ASCII only: the two non-ASCII runes whose Unicode
+// lower case is an ASCII letter (KELVIN SIGN, LATIN CAPITAL LETTER I
+// WITH DOT ABOVE) do not stand in for 'k' and 'i'.
+func TestScanFoldsASCIIOnly(t *testing.T) {
+	s := NewScanner(NewCorpus(Item{KindUsername, "kelvin"}, Item{KindSSID, "wifi"}))
+	for _, p := range []string{"u=\u212Aelvin", "ssid=WIF\u0130"} {
+		if m := s.ScanString(p); len(m) != 0 {
+			t.Errorf("%q matched %+v", p, m)
+		}
+	}
+	if m := s.ScanString("u=KELVIN&ssid=WiFi"); len(m) != 2 {
+		t.Errorf("ASCII case variants: %+v", m)
+	}
+}
+
+func TestScanNoMatchAllocatesNothing(t *testing.T) {
+	s := NewScanner(corpus())
+	payload := []byte("totally benign telemetry payload 12345 \x00\xff\x10 jane-doe 74:da:38")
+	if allocs := testing.AllocsPerRun(100, func() { s.Scan(payload) }); allocs != 0 {
+		t.Fatalf("no-match scan allocated %.1f times", allocs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -454,6 +455,12 @@ func (m *Manager) runOne(job *Job) {
 	m.metrics.Gauge("jobs_running").Add(1)
 	m.logf("job %s running", job.ID)
 	err := m.run(m.runCtx, job)
+	// Collect the finished job's garbage before publishing its end. The
+	// collection resets the heap goal to what the remaining jobs hold,
+	// so the runtime returns the finished job's pages to the OS instead
+	// of keeping the daemon at the last job's high-water until enough
+	// allocation happens to trigger a cycle.
+	runtime.GC()
 	now := m.clock.Now()
 	switch {
 	case errors.Is(err, context.Canceled):

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime/metrics"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -273,4 +274,32 @@ func TestFleetSpecValidation(t *testing.T) {
 	if _, err := m.Submit(JobSpec{FleetHomes: 5, CaptureDir: "/tmp/x"}); err == nil {
 		t.Error("fleet+ingest spec accepted")
 	}
+}
+
+// A finished job's heap is collected before its end is published, so the
+// daemon's resident set between jobs follows the jobs still running
+// rather than the high-water of the last one.
+func TestManagerCollectsFinishedJobHeap(t *testing.T) {
+	forced := func() uint64 {
+		s := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	var atRun atomic.Uint64
+	m := NewManager(ManagerConfig{
+		Run: func(ctx context.Context, job *Job) error {
+			atRun.Store(forced())
+			return nil
+		},
+	})
+	m.Start()
+	job, err := m.Submit(JobSpec{Scale: "tiny"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, job, JobDone)
+	if got := forced(); got <= atRun.Load() {
+		t.Fatalf("no collection between the job's run and its end (forced cycles %d -> %d)", atRun.Load(), got)
+	}
+	m.Shutdown(time.Second)
 }
