@@ -44,13 +44,14 @@ racecore:
 # stage wall times and throughput — plus the ingest-mode comparison
 # (buffered vs two-pass vs single-decode), the forest-training and
 # collector-stage benchmarks that record the parallel speedup, the
-# fleet synthesis throughput, the sketch merge/ingest hot paths and the
-# multi-metric entropy family, the PII automaton's scan throughput and
+# fleet synthesis throughput, the sketch merge/ingest hot paths, the
+# multi-metric entropy family and the one-histogram flow classifier,
+# flow head-payload extraction, the PII automaton's scan throughput and
 # the textual payload synthesizer.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/ml ./internal/analysis \
 		./internal/fleet ./internal/sketch ./internal/reshape ./internal/entropy \
-		./internal/dataset ./internal/pii ./internal/devices
+		./internal/netx ./internal/dataset ./internal/pii ./internal/devices
 
 # Perf regression gate: single-decode streaming must hold the checked-in
 # fraction of buffered throughput on the tiny export (floor in

@@ -58,9 +58,6 @@ type DestCollector struct {
 	foldMode bool
 	pending  []destPendingFlow
 
-	// scratch recycles flow-assembly state across Visit calls.
-	scratch netx.FlowScratch
-
 	// ipDomains caches DNS-derived ip→name mappings per device (DNS
 	// replay is per capture file in the original pipeline; devices
 	// re-resolve rarely so a per-device cache is equivalent).
@@ -178,6 +175,14 @@ func NewDestCollector(reg *orgdb.Registry, locators map[string]*geo.Locator) *De
 
 // Visit consumes one experiment.
 func (c *DestCollector) Visit(exp *testbed.Experiment) {
+	s := getVisitScratch()
+	c.visitFlows(exp, s.flows.Assemble(exp.Packets))
+	putVisitScratch(s)
+}
+
+// visitFlows consumes one experiment whose packets the caller has
+// already assembled into flows.
+func (c *DestCollector) visitFlows(exp *testbed.Experiment, flows []*netx.Flow) {
 	devID := exp.Device.ID()
 	dnsMap := c.ipDomains[devID]
 	if dnsMap == nil {
@@ -218,18 +223,15 @@ func (c *DestCollector) Visit(exp *testbed.Experiment) {
 	}
 
 	// Pass 2: flows → destinations.
-	flows := c.scratch.Assemble(exp.Packets)
 	egress := egressOf(exp.Lab, exp.VPN)
 	meta := destMetaOf(exp)
 	var pendingMeta *destExpMeta
 	for _, f := range flows {
 		addr := f.Responder.Addr
 		if isLANAddr(addr) {
-			continue // LAN traffic is out of scope (§4.1 footnote)
-		}
-		if f.Responder.Port == 53 || f.Responder.Port == 123 {
-			// Infrastructure chatter handled via its own domain when
-			// resolved; skip resolver-only flows to the gateway.
+			// LAN traffic, gateway resolver flows included, is out of
+			// scope (§4.1 footnote).
+			continue
 		}
 		if c.foldMode && dnsMap[addr] == "" {
 			// An earlier file in campaign order may have resolved this

@@ -81,9 +81,6 @@ type EncCollector struct {
 	// the table stays byte-identical for any worker count or merge order.
 	metricSums  map[metricKey][4]int64
 	metricFlows map[metricKey]int64
-
-	// scratch recycles flow-assembly state across Visit calls.
-	scratch netx.FlowScratch
 }
 
 type metricKey struct {
@@ -139,6 +136,14 @@ func NewEncCollector() *EncCollector {
 
 // Visit consumes one experiment.
 func (c *EncCollector) Visit(exp *testbed.Experiment) {
+	s := getVisitScratch()
+	c.visitFlows(exp, s.flows.Assemble(exp.Packets), &s.classifier)
+	putVisitScratch(s)
+}
+
+// visitFlows consumes one experiment whose packets the caller has
+// already assembled into flows, classifying them with cls.
+func (c *EncCollector) visitFlows(exp *testbed.Experiment, flows []*netx.Flow, cls *entropy.FlowClassifier) {
 	name := exp.Device.Profile.Name
 	col := exp.Column
 	common := exp.Device.Profile.Common()
@@ -149,12 +154,11 @@ func (c *EncCollector) Visit(exp *testbed.Experiment) {
 	c.devLab[name] = exp.Lab
 
 	var perExp [3]int64
-	flows := c.scratch.Assemble(exp.Packets)
 	for _, f := range flows {
 		if isLANAddr(f.Responder.Addr) {
 			continue // the encryption analysis covers Internet traffic only
 		}
-		v := entropy.ClassifyFlow(f, c.Thresholds)
+		v := cls.Classify(f, c.Thresholds)
 		b := bucketOf(v.Class)
 		perExp[b] += int64(f.TotalWireBytes())
 		if v.Method != "empty" {

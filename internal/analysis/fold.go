@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"sync"
 	"time"
 
+	"github.com/neu-sns/intl-iot-go/internal/entropy"
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/features"
+	"github.com/neu-sns/intl-iot-go/internal/netx"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
@@ -89,6 +92,27 @@ func (s *foldSink) MergeFoldUnit(controlled bool, unit experiments.FoldUnit) {
 	}
 }
 
+// visitScratch is the per-visit working state of the flow-level
+// collectors: flow assembly and the enc classifier's payload buffers.
+// It lives in a pool, not in the collectors, because collectors — fold
+// units above all — live until the merge, and a scratch kept there
+// would pin its last experiment's packets until then.
+type visitScratch struct {
+	flows      netx.FlowScratch
+	classifier entropy.FlowClassifier
+}
+
+var visitScratchPool = sync.Pool{New: func() any { return new(visitScratch) }}
+
+func getVisitScratch() *visitScratch { return visitScratchPool.Get().(*visitScratch) }
+
+// putVisitScratch drops the scratch's packet references and returns it
+// to the pool.
+func putVisitScratch(s *visitScratch) {
+	s.flows.Reset()
+	visitScratchPool.Put(s)
+}
+
 // foldUnit accumulates one contiguous run of a leg. It is goroutine-
 // confined by the fold contract, so the collectors inside need no
 // synchronization beyond what shard collectors already have.
@@ -112,8 +136,11 @@ func (u *foldUnit) Fold(exp *testbed.Experiment) {
 		return
 	}
 	u.p.degradeExp(exp)
-	u.dest.Visit(exp)
-	u.enc.Visit(exp)
+	s := getVisitScratch()
+	flows := s.flows.Assemble(exp.Packets)
+	u.dest.visitFlows(exp, flows)
+	u.enc.visitFlows(exp, flows, &s.classifier)
+	putVisitScratch(s)
 	if u.controlled {
 		u.content.visitAt(u.count, exp)
 		u.identify.visitAt(u.count, exp)

@@ -20,33 +20,52 @@ type FlowVerdict struct {
 	Metrics Metrics
 }
 
+// headLimit caps the per-direction head payload the classifier reads.
+const headLimit = 4096
+
 // ClassifyFlow reproduces the paper's per-flow pipeline:
 //
 //  1. Wireshark-style protocol identification: TLS and QUIC are
 //     encrypted; DNS, NTP and HTTP with textual bodies are unencrypted.
 //  2. Known encodings (media/compression magic) are unencrypted media.
 //  3. Otherwise classify by normalized byte entropy of the payload.
+//
+// It allocates fresh scratch per call; loops over many flows should
+// reuse one FlowClassifier.
 func ClassifyFlow(f *netx.Flow, t Thresholds) FlowVerdict {
-	up := f.PayloadUp(4096)
-	down := f.PayloadDown(4096)
-	v := classifyPayloads(f, t, up, down)
-	if v.Method != "empty" {
-		v.Metrics = MeasureMetrics2(up, down)
+	return new(FlowClassifier).Classify(f, t)
+}
+
+// FlowClassifier runs ClassifyFlow's pipeline over reusable scratch:
+// the head payloads are copied once into its up/down buffers and
+// histogrammed once, and that one histogram yields the printable share,
+// the threshold metric, the verdict's Entropy and the whole Metrics
+// family. A warm classifier allocates nothing per flow. The zero value
+// is ready to use; not safe for concurrent use.
+type FlowClassifier struct {
+	up, down []byte
+	counts   [256]int
+}
+
+// Classify returns the verdict ClassifyFlow(f, t) would.
+func (c *FlowClassifier) Classify(f *netx.Flow, t Thresholds) FlowVerdict {
+	c.up, c.down = f.AppendPayloads(c.up[:0], c.down[:0], headLimit)
+	if len(c.up) == 0 && len(c.down) == 0 {
+		return FlowVerdict{Class: ClassUnknown, Method: "empty"}
 	}
+	c.counts = [256]int{}
+	n := histogram(&c.counts, c.up, c.down)
+	ms := metricsFromCounts(&c.counts, n)
+	v := c.decide(f, t, n, ms)
+	v.Metrics = ms
 	return v
 }
 
-// classifyPayloads runs the decision pipeline over the extracted head
-// payloads; ClassifyFlow adds the metric family afterwards.
-func classifyPayloads(f *netx.Flow, t Thresholds, up, down []byte) FlowVerdict {
-	head := up
-	if len(head) == 0 {
-		head = down
-	}
-	if len(head) == 0 {
-		return FlowVerdict{Class: ClassUnknown, Method: "empty"}
-	}
-
+// decide runs the decision pipeline over the non-empty head payloads in
+// c.up and c.down, their joint histogram in c.counts (n bytes in total)
+// and its entropy family ms.
+func (c *FlowClassifier) decide(f *netx.Flow, t Thresholds, n int, ms Metrics) FlowVerdict {
+	up, down := c.up, c.down
 	// Step 1: protocol identification.
 	if tlsmsg.LooksLikeTLS(up) || tlsmsg.LooksLikeTLS(down) {
 		return FlowVerdict{Class: ClassEncrypted, Method: "tls"}
@@ -68,7 +87,7 @@ func classifyPayloads(f *netx.Flow, t Thresholds, up, down []byte) FlowVerdict {
 			if enc, ok := DetectEncoding(body); ok {
 				return FlowVerdict{Class: ClassMedia, Method: "encoding:" + enc}
 			}
-			if c := t.ClassifyEntropy(body); c == ClassEncrypted {
+			if t.ClassifyEntropy(body) == ClassEncrypted {
 				return FlowVerdict{Class: ClassEncrypted, Method: "http-encrypted-body", Entropy: Shannon(body)}
 			}
 		}
@@ -82,13 +101,15 @@ func classifyPayloads(f *netx.Flow, t Thresholds, up, down []byte) FlowVerdict {
 		}
 	}
 
-	// Step 3: entropy over the combined payload.
-	all := append(append([]byte(nil), up...), down...)
-	if IsMostlyPrintable(all, 0.95) {
+	// Step 3: entropy over the combined payload, read off the histogram.
+	if float64(printableCount(&c.counts))/float64(n) >= 0.95 {
 		return FlowVerdict{Class: ClassUnencrypted, Method: "printable"}
 	}
-	v := FlowVerdict{Class: t.ClassifyEntropy(all), Method: "entropy", Entropy: Shannon(all)}
-	return v
+	class := ClassUnknown
+	if n >= t.MinPayload {
+		class = t.classOf(ms.Get(t.Metric))
+	}
+	return FlowVerdict{Class: class, Method: "entropy", Entropy: ms.Shannon}
 }
 
 func isQUIC(f *netx.Flow, up []byte) bool {

@@ -84,12 +84,14 @@ func (t Thresholds) ClassifyEntropy(b []byte) Class {
 	if len(b) < t.MinPayload {
 		return ClassUnknown
 	}
-	var h float64
 	if t.Metric == MetricShannon {
-		h = Shannon(b)
-	} else {
-		h = MeasureMetrics(b).Get(t.Metric)
+		return t.classOf(Shannon(b))
 	}
+	return t.classOf(MeasureMetrics(b).Get(t.Metric))
+}
+
+// classOf applies the cut points to one metric value.
+func (t Thresholds) classOf(h float64) Class {
 	switch {
 	case h > t.Encrypted:
 		return ClassEncrypted
@@ -146,9 +148,27 @@ func IsMostlyPrintable(b []byte, frac float64) bool {
 	}
 	printable := 0
 	for _, c := range b {
-		if (c >= 0x20 && c < 0x7f) || c == '\n' || c == '\r' || c == '\t' {
+		if isPrintable(c) {
 			printable++
 		}
 	}
 	return float64(printable)/float64(len(b)) >= frac
+}
+
+// isPrintable is IsMostlyPrintable's byte predicate: printable ASCII or
+// common whitespace.
+func isPrintable(c byte) bool {
+	return (c >= 0x20 && c < 0x7f) || c == '\n' || c == '\r' || c == '\t'
+}
+
+// printableCount sums a byte histogram's printable bins: the numerator
+// IsMostlyPrintable would count over the histogrammed bytes.
+func printableCount(counts *[256]int) int {
+	n := 0
+	for b, c := range counts {
+		if isPrintable(byte(b)) {
+			n += c
+		}
+	}
+	return n
 }

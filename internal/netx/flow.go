@@ -108,6 +108,39 @@ func (f *Flow) payloadDir(limit int, up bool) []byte {
 	return out
 }
 
+// AppendPayloads appends the flow's head payloads to up and down in one
+// pass over the packets: at most limit bytes per direction (limit<=0
+// means no cap), byte for byte what PayloadUp(limit) and
+// PayloadDown(limit) return. Callers that reuse the buffers across
+// flows extract head payloads without allocating.
+func (f *Flow) AppendPayloads(up, down []byte, limit int) ([]byte, []byte) {
+	// Index 0 is the downstream direction, 1 the upstream one.
+	bufs := [2][]byte{down, up}
+	base := [2]int{len(down), len(up)}
+	var full [2]bool
+	for _, p := range f.Packets {
+		if len(p.Payload) == 0 {
+			continue
+		}
+		d := 0
+		if f.packetIsUp(p) {
+			d = 1
+		}
+		if full[d] {
+			continue
+		}
+		payload := p.Payload
+		if room := limit - (len(bufs[d]) - base[d]); limit > 0 && len(payload) >= room {
+			payload, full[d] = payload[:room], true
+		}
+		bufs[d] = append(bufs[d], payload...)
+		if full[0] && full[1] {
+			break
+		}
+	}
+	return bufs[1], bufs[0]
+}
+
 func (f *Flow) packetIsUp(p *Packet) bool {
 	src, ok := p.NetworkSrc()
 	if !ok {
@@ -192,9 +225,12 @@ func AssembleFlows(pkts []*Packet) []*Flow {
 // the Flow structs and their packet slices across calls, so a collector
 // visiting thousands of experiments allocates flow state only while its
 // biggest experiment is still growing the pool. The returned slice and
-// every Flow in it are invalidated by the next Assemble; callers must
-// copy anything they keep (the analysis collectors retain only strings
-// and counters). Not safe for concurrent use — one scratch per goroutine.
+// every Flow in it are invalidated by the next Assemble or Reset;
+// callers must copy anything they keep (the analysis collectors retain
+// only strings and counters). Between calls the recycled flows still
+// point at the last experiment's packets, so a scratch that sits idle
+// pins them until Reset. Not safe for concurrent use — one scratch per
+// goroutine.
 type FlowScratch struct {
 	flows map[FlowKey]*Flow
 	order []*Flow
@@ -207,15 +243,25 @@ type FlowScratch struct {
 func (s *FlowScratch) Assemble(pkts []*Packet) []*Flow {
 	if s.flows == nil {
 		s.flows = make(map[FlowKey]*Flow)
-	} else {
-		clear(s.flows)
 	}
-	s.order = s.order[:0]
-	s.used = 0
+	s.Reset()
 	for _, p := range pkts {
 		s.add(p)
 	}
 	return s.order
+}
+
+// Reset drops every packet reference the last Assemble left behind —
+// it clears the packet slices of the flows it used and empties the
+// table — while keeping the pool's capacity for the next call.
+func (s *FlowScratch) Reset() {
+	for _, f := range s.pool[:s.used] {
+		clear(f.Packets)
+		f.Packets = f.Packets[:0]
+	}
+	clear(s.flows)
+	s.order = s.order[:0]
+	s.used = 0
 }
 
 // next hands out a recycled (or pool-grown) zeroed Flow keeping its
