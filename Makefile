@@ -29,7 +29,7 @@ race:
 # Focused race gate over the concurrency-heavy packages: the impairment
 # engine (consulted from parallel lab goroutines), the shared cloud
 # model, the campaign runner that fans out across labs, the parallel
-# forest trainer, the sharded collector stage, the streaming ingest
+# forest trainer, the collector fold stream, the streaming ingest
 # dispatcher with its bounded reorder window and the single-decode fold
 # pass, and the fleet runner's bounded-lead home pool folding into
 # shared-seed sketches.

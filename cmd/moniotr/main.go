@@ -83,10 +83,10 @@
 // and under every defense × budget cell, measuring inference F1, idle
 // detections, table drift and byte/latency overhead per cell.
 //
-// -analysis-workers bounds the analysis-side parallelism (sharded
-// collectors, forest training, model evaluation); 0 means one worker per
-// core and 1 forces the historical serial pipeline. Every table is
-// byte-identical for any value — the flag trades wall time only.
+// -analysis-workers bounds the analysis-side parallelism (collector fold
+// units, forest training, model evaluation); 0 means one worker per core
+// and 1 runs the analysis single-threaded. Every table is byte-identical
+// for any value — the flag trades wall time only.
 //
 // With -json the selected tables are written to stdout as one canonical
 // JSON document (the same renderer the moniotrd report API uses, so the
@@ -142,7 +142,7 @@ func main() {
 	stream := flag.Bool("stream", false, "with -ingest: stream captures through a bounded reorder window instead of buffering the campaign")
 	ingestWindow := flag.Int("ingest-window", 0, "with -stream: reorder window capacity in experiments (0 = default)")
 	streamTwoPass := flag.Bool("stream-two-pass", false, "with -stream: force the legacy index+replay shape instead of the single-decode fold pass")
-	analysisWorkers := flag.Int("analysis-workers", 0, "analysis parallelism: 0 = one worker per core, 1 = serial; output is identical for any value")
+	analysisWorkers := flag.Int("analysis-workers", 0, "analysis parallelism: 0 = one worker per core, 1 = single-threaded; output is identical for any value")
 	reshapeStack := flag.String("reshape", "", "apply a traffic-reshaping defense stack (comma-separated: pad, shape, dummy, vpn)")
 	reshapeSeed := flag.Int64("reshape-seed", 0, "seed for the defense engine (0 = campaign seed)")
 	reshapeBudget := flag.Float64("reshape-budget", 0.25, "defense overhead budget in [0, 1]; 0 disables every transform bit-for-bit")

@@ -32,9 +32,10 @@ func (s *replaySource) RunControlled(visit experiments.Visitor) experiments.Stat
 }
 
 // BenchmarkCollectorStage measures the controlled collector stage —
-// degrade + dest + enc + content + identify over every experiment —
-// serial vs sharded. Both paths produce byte-identical collector state
-// (TestShardedPipelineMatchesSerial); the pair quantifies the speedup.
+// degrade + dest + enc + content + identify over every experiment,
+// folded by the pipeline — at one worker and at one per core. Both
+// produce byte-identical collector state (TestPipelineMatchesSerialOracle);
+// the pair quantifies the speedup.
 func BenchmarkCollectorStage(b *testing.B) {
 	r, err := experiments.NewRunner(experiments.Config{
 		Seed: 1, AutomatedReps: 4, ManualReps: 1, PowerReps: 1, VPN: true,
@@ -53,17 +54,7 @@ func BenchmarkCollectorStage(b *testing.B) {
 			b.ReportMetric(float64(len(src.exps)), "experiments")
 			for i := 0; i < b.N; i++ {
 				p := NewPipeline(src)
-				if w > 1 {
-					p.runShardedStage("controlled", w, true, src.RunControlled)
-					continue
-				}
-				src.RunControlled(func(exp *testbed.Experiment) {
-					p.degradeExp(exp)
-					p.Dest.Visit(exp)
-					p.Enc.Visit(exp)
-					p.Content.Visit(exp)
-					p.Identify.Visit(exp)
-				})
+				p.foldStream(&foldSink{p: p}, true, w, src.RunControlled)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/neu-sns/intl-iot-go/internal/features"
 	"github.com/neu-sns/intl-iot-go/internal/ml"
+	"github.com/neu-sns/intl-iot-go/internal/parallel"
 	"github.com/neu-sns/intl-iot-go/internal/pii"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
@@ -33,8 +34,8 @@ type ContentCollector struct {
 	// pending holds first-seen findings tagged with their discovery
 	// position — the experiment's delivery sequence plus the rank within
 	// that experiment. Findings() sorts by that position before the
-	// global dedup, so shard-parallel visits reproduce the serial
-	// insertion order exactly (ties in the report sort depend on it).
+	// global dedup, so fold units reproduce the serial insertion order
+	// exactly (ties in the report sort depend on it).
 	pending  []seqFinding
 	findings []PIIFinding
 	findSeen map[PIIFinding]bool
@@ -49,7 +50,7 @@ type ContentCollector struct {
 }
 
 // scannerSet compiles each device instance's PII scanner once. A
-// collector and every shard and fold unit split from it share one set,
+// collector and every fold unit split from it share one set,
 // so a streaming ingest, which opens a fold unit per capture file, does
 // not recompile a device's corpus for every file. Scanners are
 // read-only, so units on different goroutines can share them.
@@ -99,8 +100,8 @@ func (c *ContentCollector) Visit(exp *testbed.Experiment) {
 	c.autoSeq++
 }
 
-// visitAt is Visit with an explicit delivery sequence number, used by the
-// sharded stage so findings discovered on different workers can be
+// visitAt is Visit with an explicit delivery sequence number, used by
+// fold units so findings discovered in different units can be
 // re-interleaved into delivery order afterwards.
 func (c *ContentCollector) visitAt(seq int64, exp *testbed.Experiment) {
 	devID := exp.Device.ID()
@@ -175,43 +176,21 @@ func (c *ContentCollector) finalize() {
 	c.pending = nil
 }
 
-// newShard returns an empty collector with c's feature set, sharing c's
-// compiled scanners.
-func (c *ContentCollector) newShard() *ContentCollector {
+// newFoldUnit returns an empty collector with c's feature set, sharing
+// c's compiled scanners.
+func (c *ContentCollector) newFoldUnit() *ContentCollector {
 	s := NewContentCollector()
 	s.FeatureSet = c.FeatureSet
 	s.scanners = c.scanners
 	return s
 }
 
-// merge folds a shard into c. Datasets and metadata are keyed by device
-// instance, which routes to exactly one shard, so their unions are
-// disjoint and dataset row order matches serial delivery. Pending
-// findings concatenate and are re-interleaved by finalize.
-func (c *ContentCollector) merge(o *ContentCollector) {
-	c.pending = append(c.pending, o.pending...)
-	for f := range o.findSeen {
-		c.findSeen[f] = true
-	}
-	if n := len(o.pending); n > 0 {
-		if last := o.pending[n-1].seq + 1; last > c.autoSeq {
-			c.autoSeq = last
-		}
-	}
-	for k, ds := range o.datasets {
-		c.datasets[k] = ds
-		c.devCategory[k] = o.devCategory[k]
-		c.devCommon[k] = o.devCommon[k]
-		c.devName[k] = o.devName[k]
-	}
-}
-
-// mergeFold folds a single-decode unit into c. Unlike shard merges,
-// unit sequence numbers are unit-local (0..count-1): base — the number
-// of controlled experiments merged before this unit in campaign order —
-// rebases them onto the global delivery sequence, reproducing the seqs
-// a serial run would have assigned. Dataset rows append rather than
-// replace: one instance's rows span every unit of its files.
+// mergeFold folds a unit into c. Unit sequence numbers are unit-local
+// (0..count-1): base — the number of controlled experiments merged
+// before this unit in campaign order — rebases them onto the global
+// delivery sequence, reproducing the seqs a serial run would have
+// assigned. Dataset rows append: one instance's rows span every unit of
+// its runs.
 func (c *ContentCollector) mergeFold(o *ContentCollector, base, count int64) {
 	for _, sf := range o.pending {
 		sf.seq += base
@@ -320,7 +299,7 @@ func (c *ContentCollector) Infer(cfg InferConfig) []InferenceResult {
 	cvCfg := cfg.CV
 	cvCfg.Workers = 1 // the datasets already saturate the worker pool
 	out := make([]InferenceResult, len(eligible))
-	parallelFor(len(eligible), workerCount(cfg.Workers), func(i int) {
+	parallel.For(len(eligible), parallel.Workers(cfg.Workers), func(i int) {
 		k := eligible[i]
 		ds := c.datasets[k]
 		res := ml.CrossValidate(ds, cvCfg)

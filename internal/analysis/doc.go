@@ -4,14 +4,13 @@
 // inference (§6, RQ3/RQ4) — and unexpected-behaviour detection (§7, RQ5),
 // with regional comparison (RQ6) woven through every table's columns.
 //
-// Every collector consumes experiments in a streaming fashion via its
-// Visit method, so the full campaign never needs to be held in memory.
-//
-// With Pipeline.Workers > 1 the collector stages run sharded: each
-// worker owns a private set of collectors, experiments route to workers
-// by device affinity, and the shards merge back deterministically when
-// the stage drains (see shard.go). Model training and evaluation fan
-// out per tree, per fold and per device. Every table, model and
-// detection is byte-identical to the serial pipeline for any worker
-// count — parallelism trades wall time only.
+// Every collector consumes experiments in a streaming fashion, so the
+// full campaign never needs to be held in memory. Standalone collectors
+// take one experiment at a time through their Visit methods. A Pipeline
+// runs them one way for every source: each contiguous run of a leg folds
+// into a private unit of collectors, on Pipeline.Workers goroutines, and
+// the units merge back in campaign order (see fold.go). Model training
+// and evaluation fan out per tree, per fold and per device. Every table,
+// model and detection is byte-identical to visiting every experiment
+// serially, for any worker count — parallelism trades wall time only.
 package analysis

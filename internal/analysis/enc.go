@@ -54,8 +54,8 @@ type EncCollector struct {
 
 	// OnFlow, when set, observes every classified non-LAN flow: the fleet
 	// runner taps it to fold encryption volumes into its aggregate without
-	// buffering. Serial pipelines only — shard collectors do not inherit
-	// the hook.
+	// buffering. It fires only from Visit; a pipeline's fold units never
+	// inherit it.
 	OnFlow func(exp *testbed.Experiment, class EncClass, wireBytes int64)
 
 	// byte counters
@@ -229,20 +229,19 @@ func (c *EncCollector) visitFlows(exp *testbed.Experiment, flows []*netx.Flow, c
 	}
 }
 
-// newShard returns an empty collector with c's thresholds.
-func (c *EncCollector) newShard() *EncCollector {
+// newFoldUnit returns an empty collector with c's thresholds.
+func (c *EncCollector) newFoldUnit() *EncCollector {
 	s := NewEncCollector()
 	s.Thresholds = c.Thresholds
 	return s
 }
 
-// merge folds a shard's accumulators into c. Byte counters add, device
-// sets union, metadata rewrites with identical values — all commutative.
-// The one order-sensitive structure, devSamples (float slices feeding
-// Welch t-tests), is keyed by (device model, column, label): experiments
-// route to shards by device, so each key lives on exactly one shard and
-// appending the shard's slice reproduces the serial append order.
-func (c *EncCollector) merge(o *EncCollector) {
+// mergeFold folds a unit's accumulators into c. Byte counters add,
+// device sets union, metadata rewrites with identical values — all
+// commutative. The one order-sensitive structure, devSamples (float
+// slices feeding Welch t-tests), appends: units merge in campaign order,
+// so each key's samples keep the serial append order.
+func (c *EncCollector) mergeFold(o *EncCollector) {
 	for k, v := range o.devBytes {
 		cur := c.devBytes[k]
 		for i := range cur {
@@ -288,8 +287,8 @@ func (c *EncCollector) merge(o *EncCollector) {
 		c.devName[k] = v
 	}
 	for k, v := range o.devLab {
-		// Informational only (never read back); shard order decides ties
-		// for common models deployed in both labs.
+		// Informational only (never read back); the last unit merged
+		// decides ties for common models deployed in both labs.
 		c.devLab[k] = v
 	}
 	for t, set := range o.expDevices {

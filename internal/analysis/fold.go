@@ -4,24 +4,26 @@ import (
 	"sync"
 	"time"
 
+	"github.com/neu-sns/intl-iot-go/internal/devices"
 	"github.com/neu-sns/intl-iot-go/internal/entropy"
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/features"
 	"github.com/neu-sns/intl-iot-go/internal/netx"
+	"github.com/neu-sns/intl-iot-go/internal/obs"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
-// Single-decode streaming support.
+// Fold units: the one way Pipeline.Run runs collectors.
 //
-// A Source that also implements singleDecodeSource can push the whole
-// campaign through the pipeline during its decode (index) pass instead
-// of replaying a second decode per leg. Experiments arrive out of
-// campaign order — whichever file a decode worker finishes first — so
-// the collectors absorb them through the fold contract
+// The collectors absorb a campaign through the fold contract
 // (internal/experiments.FoldSink): each contiguous run of a leg folds
-// into a private accumulator on the worker that decoded it, and the
-// accumulators merge serially in campaign order afterwards. Every
-// table stays byte-identical to the buffered serial pipeline because
+// into a private unit — a full set of empty collectors — and the units
+// merge serially in campaign order. Runs come from one of two places:
+// a source with a single-decode pass (singleDecodeSource) folds each
+// capture file's run on the worker that decoded it; every other source
+// delivers each leg serially into foldStream, which cuts it into runs
+// and folds them on Pipeline.Workers goroutines. Every table stays
+// byte-identical to one serial visit of every experiment because
 //
 //   - device-local, order-sensitive state (DNS replay caches, Welch
 //     samples, idle hours) sees the serial order within each run, and
@@ -36,8 +38,8 @@ import (
 //   - idle-leg detection needs models that only exist after the
 //     controlled leg trains, so fold units capture each idle
 //     experiment's traffic units (segmented and vectorized exactly as
-//     Detector.VisitIdle would) and replayIdleDetections re-runs the
-//     classification in campaign order once the models exist.
+//     Detector.VisitIdle would) and replayIdleDetections classifies them
+//     in campaign order once the models exist.
 type singleDecodeSource interface {
 	Source
 	// SingleDecode reports whether the source can still run a fold pass
@@ -61,7 +63,7 @@ type foldSink struct {
 	ctlSeq int64
 	// idle accumulates captured idle experiments in campaign order for
 	// post-training detection replay.
-	idle []idleFoldExp
+	idle []idleCapture
 }
 
 func (s *foldSink) NewFoldUnit(controlled bool) experiments.FoldUnit {
@@ -69,11 +71,14 @@ func (s *foldSink) NewFoldUnit(controlled bool) experiments.FoldUnit {
 		p:          s.p,
 		controlled: controlled,
 		dest:       s.p.Dest.newFoldUnit(),
-		enc:        s.p.Enc.newShard(),
+		enc:        s.p.Enc.newFoldUnit(),
 	}
 	if controlled {
-		u.content = s.p.Content.newShard()
-		u.identify = s.p.Identify.newShard()
+		u.content = s.p.Content.newFoldUnit()
+		u.identify = s.p.Identify.newFoldUnit()
+	}
+	if s.p.metrics != nil {
+		u.timing = new(foldTiming)
 	}
 	return u
 }
@@ -82,7 +87,7 @@ func (s *foldSink) MergeFoldUnit(controlled bool, unit experiments.FoldUnit) {
 	u := unit.(*foldUnit)
 	p := s.p
 	p.Dest.mergeFold(u.dest)
-	p.Enc.merge(u.enc)
+	p.Enc.mergeFold(u.enc)
 	if controlled {
 		p.Content.mergeFold(u.content, s.ctlSeq, u.count)
 		p.Identify.mergeFold(u.identify, s.ctlSeq, u.count)
@@ -90,6 +95,122 @@ func (s *foldSink) MergeFoldUnit(controlled bool, unit experiments.FoldUnit) {
 	} else {
 		s.idle = append(s.idle, u.idle...)
 	}
+	u.timing.flush(p.metrics)
+}
+
+// foldRunLen caps the experiments of one run; runs otherwise end where
+// the device changes. Each cut inside a device's experiments parks the
+// flows the new unit cannot name from its own DNS answers in dest's
+// deferred list until the merge, so the cap stays large.
+const foldRunLen = 256
+
+// foldRun is one run of a leg between its first experiment and its
+// merge.
+type foldRun struct {
+	unit experiments.FoldUnit
+	// exps feeds the worker folding the run; nil when folding inline.
+	exps chan *testbed.Experiment
+	// done is closed once every experiment of the run has been folded.
+	done chan struct{}
+}
+
+// foldStream delivers one leg of a source through fold units. It cuts
+// the serial delivery into runs, each ending where the device changes or
+// after foldRunLen experiments, and folds each run into a fresh unit of
+// sink on workers goroutines; units merge serially, in delivery order,
+// with at most 2×workers runs in flight. With one worker every run folds
+// inline on the delivering goroutine and merges as soon as it ends.
+func (p *Pipeline) foldStream(sink *foldSink, controlled bool, workers int,
+	run func(experiments.Visitor) experiments.Stats) experiments.Stats {
+
+	var (
+		jobs     chan *foldRun
+		wg       sync.WaitGroup
+		inFlight []*foldRun // cut and not yet merged, in delivery order
+		cur      *foldRun   // the run still being cut
+		dev      *devices.Instance
+		n        int
+	)
+	if workers > 1 {
+		// Sized to the in-flight bound, so opening a run never waits for
+		// a worker.
+		jobs = make(chan *foldRun, 2*workers)
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for r := range jobs {
+					for exp := range r.exps {
+						r.unit.Fold(exp)
+					}
+					close(r.done)
+				}
+			}()
+		}
+	}
+	// merge merges finished runs off the head of inFlight, waiting for
+	// the head while more than keep runs are in flight.
+	merge := func(keep int) {
+		for len(inFlight) > 0 {
+			r := inFlight[0]
+			if len(inFlight) > keep {
+				<-r.done
+			} else {
+				select {
+				case <-r.done:
+				default:
+					return
+				}
+			}
+			sink.MergeFoldUnit(controlled, r.unit)
+			inFlight[0] = nil
+			inFlight = inFlight[1:]
+		}
+	}
+	endRun := func() {
+		if cur == nil {
+			return
+		}
+		if cur.exps != nil {
+			close(cur.exps)
+		} else {
+			close(cur.done)
+		}
+		cur = nil
+	}
+
+	stats := run(func(exp *testbed.Experiment) {
+		if p.canceled() {
+			exp.Done()
+			return
+		}
+		if cur == nil || exp.Device != dev || n == foldRunLen {
+			endRun()
+			merge(2*workers - 1)
+			cur = &foldRun{unit: sink.NewFoldUnit(controlled), done: make(chan struct{})}
+			if jobs != nil {
+				// A run sends at most foldRunLen experiments, so
+				// delivery never waits for the run's worker.
+				cur.exps = make(chan *testbed.Experiment, foldRunLen)
+				jobs <- cur
+			}
+			inFlight = append(inFlight, cur)
+			dev, n = exp.Device, 0
+		}
+		if cur.exps != nil {
+			cur.exps <- exp
+		} else {
+			cur.unit.Fold(exp)
+		}
+		n++
+	})
+	endRun()
+	if jobs != nil {
+		close(jobs)
+		wg.Wait()
+	}
+	merge(0)
+	return stats
 }
 
 // visitScratch is the per-visit working state of the flow-level
@@ -115,7 +236,7 @@ func putVisitScratch(s *visitScratch) {
 
 // foldUnit accumulates one contiguous run of a leg. It is goroutine-
 // confined by the fold contract, so the collectors inside need no
-// synchronization beyond what shard collectors already have.
+// synchronization.
 type foldUnit struct {
 	p          *Pipeline
 	controlled bool
@@ -127,7 +248,9 @@ type foldUnit struct {
 	content  *ContentCollector
 	identify *IdentifyCollector
 	// idle captures idle experiments for post-training replay.
-	idle []idleFoldExp
+	idle []idleCapture
+	// timing is nil unless the pipeline has a metrics registry.
+	timing *foldTiming
 }
 
 func (u *foldUnit) Fold(exp *testbed.Experiment) {
@@ -135,110 +258,91 @@ func (u *foldUnit) Fold(exp *testbed.Experiment) {
 		exp.Done()
 		return
 	}
+	u.timing.start()
 	u.p.degradeExp(exp)
+	u.timing.lap(timeDegrade)
 	s := getVisitScratch()
 	flows := s.flows.Assemble(exp.Packets)
 	u.dest.visitFlows(exp, flows)
+	u.timing.lap(timeDest)
 	u.enc.visitFlows(exp, flows, &s.classifier)
 	putVisitScratch(s)
+	u.timing.lap(timeEnc)
 	if u.controlled {
 		u.content.visitAt(u.count, exp)
+		u.timing.lap(timeContent)
 		u.identify.visitAt(u.count, exp)
+		u.timing.lap(timeIdentify)
 	} else {
-		u.captureIdle(exp)
+		// The gap and feature set are the ones NewDetector configures.
+		// Every unit is vectorized, even ones the MinUnitPackets filter
+		// will later drop: the detector's thresholds are unknown until
+		// training finishes, and the packets are gone after this fold.
+		u.idle = append(u.idle, captureIdle(exp, features.DefaultUnitGap, u.p.Content.FeatureSet, 0))
+		u.timing.lap(timeIdleCapture)
 	}
 	u.count++
 	exp.Done()
 }
 
-// idleFoldExp is one idle experiment reduced to what detection replay
-// needs: identity, wall-clock extent, and its traffic units already
-// segmented and vectorized from the degraded packets.
-type idleFoldExp struct {
-	devID, devName, column string
-	start, end             time.Time
-	units                  []idleFoldUnit
+// Per-collector timing slots of a fold unit, reported as
+// collector_visits.<name> and collector_visit_ns.<name>.
+const (
+	timeDegrade = iota
+	timeDest
+	timeEnc
+	timeContent
+	timeIdentify
+	timeIdleCapture
+	numTimed
+)
+
+var timedNames = [numTimed]string{"degrade", "dest", "enc", "content", "identify", "idle_capture"}
+
+// foldTiming tallies a unit's collector visits in plain integers, which
+// the merge adds to the registry; a nil *foldTiming times nothing.
+type foldTiming struct {
+	visits, ns [numTimed]int64
+	last       time.Time
 }
 
-type idleFoldUnit struct {
-	packets    int
-	start, end time.Time
-	vec        []float64
-}
-
-// captureIdle records the experiment for replayIdleDetections. The gap
-// and feature set must match what NewDetector will configure —
-// features.DefaultUnitGap and the content collector's feature set —
-// so the vectors are exactly the ones Detector.VisitIdle would compute.
-// Vectors are computed for every unit, even ones the MinUnitPackets
-// filter will later drop: the detector's thresholds are unknown until
-// training finishes, and the packets are gone after this fold.
-func (u *foldUnit) captureIdle(exp *testbed.Experiment) {
-	ie := idleFoldExp{
-		devID:   exp.Device.ID(),
-		devName: exp.Device.Profile.Name,
-		column:  exp.Column,
-		start:   exp.Start,
-		end:     exp.End,
+func (t *foldTiming) start() {
+	if t != nil {
+		t.last = time.Now()
 	}
-	fs := u.p.Content.FeatureSet
-	for _, unit := range features.Segment(exp.Packets, features.DefaultUnitGap) {
-		ie.units = append(ie.units, idleFoldUnit{
-			packets: len(unit.Packets),
-			start:   unit.Start,
-			end:     unit.End,
-			vec:     features.Vector(unit.Packets, fs),
-		})
-	}
-	u.idle = append(u.idle, ie)
 }
 
-// replayIdleDetections re-runs Detector.visitIdleAt's logic over the
-// captured idle experiments, in campaign order, mirroring its
-// accounting exactly: the model lookup gates all accounting, hours and
-// unit totals accrue per experiment, and detections append directly in
-// replay order (which is campaign order, the serial order).
-func (p *Pipeline) replayIdleDetections(idle []idleFoldExp) {
-	d := p.Detector
-	res := p.IdleHits
+// lap charges the time since the previous start or lap to slot i.
+func (t *foldTiming) lap(i int) {
+	if t == nil {
+		return
+	}
+	now := time.Now()
+	t.ns[i] += int64(now.Sub(t.last))
+	t.visits[i]++
+	t.last = now
+}
+
+func (t *foldTiming) flush(reg *obs.Registry) {
+	if t == nil {
+		return
+	}
+	for i, name := range timedNames {
+		if t.visits[i] > 0 {
+			reg.Counter("collector_visits." + name).Add(t.visits[i])
+			reg.Counter("collector_visit_ns." + name).Add(t.ns[i])
+		}
+	}
+}
+
+// replayIdleDetections classifies the captured idle experiments in
+// campaign order — the serial order — once the models exist.
+func (p *Pipeline) replayIdleDetections(idle []idleCapture) {
 	for i := range idle {
 		if p.canceled() {
 			return
 		}
-		ie := &idle[i]
-		model, ok := d.models[instColKey{ie.devID, ie.column}]
-		if !ok {
-			continue
-		}
-		if res.deviceHours[ie.column] == nil {
-			res.deviceHours[ie.column] = map[string]float64{}
-		}
-		res.deviceHours[ie.column][ie.devID] += ie.end.Sub(ie.start).Hours()
-		if h := res.deviceHours[ie.column][ie.devID]; h > res.Hours[ie.column] {
-			res.Hours[ie.column] = h
-		}
-		us := res.Units[ie.column]
-		if us == nil {
-			us = &unitStats{}
-			res.Units[ie.column] = us
-		}
-		for _, u := range ie.units {
-			us.Total++
-			if u.packets < d.MinUnitPackets {
-				continue
-			}
-			label, vote := model.forest.PredictTop(u.vec)
-			if vote < d.MinVote || !model.withinEnvelope(label, u.vec) {
-				continue
-			}
-			us.Classified++
-			res.Detections = append(res.Detections, Detection{
-				DeviceID: ie.devID, DeviceName: ie.devName,
-				Column: ie.column, Activity: label,
-				Start: u.start, End: u.end,
-			})
-			res.Counts[DetectKey{ie.devName, label, ie.column}]++
-		}
+		p.Detector.detectIdle(&idle[i], p.IdleHits)
 	}
 }
 
@@ -251,16 +355,7 @@ func (p *Pipeline) runSingleDecode(src singleDecodeSource, cfg InferConfig) {
 	span := p.metrics.StartSpan("stage:fold")
 	p.Stats, p.IdleStats = src.RunSingleDecode(sink)
 	span.End()
-	if p.abortIfCanceled() {
-		return
-	}
-
-	span = p.metrics.StartSpan("stage:train")
-	p.metrics.SetLabel("stage", "train")
-	p.Inference = p.Content.Infer(cfg)
-	p.Detector = NewDetector(p.Content, p.Inference, cfg)
-	span.End()
-	if p.abortIfCanceled() {
+	if p.abortIfCanceled() || !p.train(cfg) {
 		return
 	}
 

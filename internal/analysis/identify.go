@@ -26,10 +26,9 @@ type IdentifyCollector struct {
 
 	// rows buffers one entry per training experiment, tagged with its
 	// delivery sequence. The per-column datasets interleave rows from
-	// every device, so — unlike the device-keyed collectors — their row
-	// order cannot be reconstructed shard-locally; build sorts the rows
-	// by sequence instead, which reproduces the serial append order for
-	// any shard count (serial visits number 0,1,2,… already).
+	// every device; build sorts the rows by sequence, which reproduces
+	// the serial append order however the fold units were cut (Visit
+	// numbers 0,1,2,… already).
 	rows    []identRow
 	autoSeq int64
 
@@ -62,7 +61,7 @@ func (c *IdentifyCollector) Visit(exp *testbed.Experiment) {
 	c.autoSeq++
 }
 
-// visitAt is Visit with an explicit delivery sequence, for sharded runs.
+// visitAt is Visit with an explicit delivery sequence, for fold units.
 func (c *IdentifyCollector) visitAt(seq int64, exp *testbed.Experiment) {
 	if exp.Kind != testbed.KindPower && exp.Kind != testbed.KindInteraction {
 		return
@@ -80,26 +79,14 @@ func (c *IdentifyCollector) visitAt(seq int64, exp *testbed.Experiment) {
 	c.built = false
 }
 
-// newShard returns an empty collector with c's feature set.
-func (c *IdentifyCollector) newShard() *IdentifyCollector {
+// newFoldUnit returns an empty collector with c's feature set.
+func (c *IdentifyCollector) newFoldUnit() *IdentifyCollector {
 	s := NewIdentifyCollector()
 	s.FeatureSet = c.FeatureSet
 	return s
 }
 
-// merge appends a shard's rows; build re-sorts by sequence, so merge
-// order cannot affect the datasets.
-func (c *IdentifyCollector) merge(o *IdentifyCollector) {
-	c.rows = append(c.rows, o.rows...)
-	c.built = false
-	if n := len(o.rows); n > 0 {
-		if last := o.rows[n-1].seq + 1; last > c.autoSeq {
-			c.autoSeq = last
-		}
-	}
-}
-
-// mergeFold folds a single-decode unit's rows into c, rebasing the
+// mergeFold folds a unit's rows into c, rebasing the
 // unit-local sequence numbers (0..count-1) by base — the number of
 // controlled experiments merged before this unit — so build's sort
 // reproduces serial delivery order.

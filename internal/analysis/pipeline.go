@@ -2,11 +2,11 @@ package analysis
 
 import (
 	"context"
-	"time"
 
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/geo"
 	"github.com/neu-sns/intl-iot-go/internal/obs"
+	"github.com/neu-sns/intl-iot-go/internal/parallel"
 	"github.com/neu-sns/intl-iot-go/internal/reshape"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
@@ -22,16 +22,12 @@ type Pipeline struct {
 	Content  *ContentCollector
 	Identify *IdentifyCollector
 
-	// Workers bounds the analysis-side parallelism: the sharded collector
-	// stage (shard.go) and model training/evaluation. 0 means GOMAXPROCS,
-	// 1 forces the serial pipeline. Every table, model and detection is
-	// byte-identical for any value.
+	// Workers bounds the analysis-side parallelism: the goroutines that
+	// fold runs of experiments into collector units (fold.go), and model
+	// training and evaluation. 0 means GOMAXPROCS; 1 folds on the
+	// source's delivering goroutine and trains serially. Every table,
+	// model and detection is byte-identical for any value.
 	Workers int
-
-	// assign pins each device instance to one shard across stages
-	// (device affinity); nextShard round-robins first sightings.
-	assign    map[string]int
-	nextShard int
 
 	// Filled by Run:
 	Stats     experiments.Stats
@@ -67,8 +63,8 @@ func (p *Pipeline) SetContext(ctx context.Context) { p.ctx = ctx }
 func (p *Pipeline) Aborted() bool { return p.aborted }
 
 // canceled reports whether the attached context has been cancelled. It
-// is consulted on every experiment visit, from shard workers too; ctx
-// is written once before Run, so the concurrent reads are safe.
+// is consulted on every experiment visit, from fold workers too; ctx is
+// written once before Run, so the concurrent reads are safe.
 func (p *Pipeline) canceled() bool { return p.ctx != nil && p.ctx.Err() != nil }
 
 // abortIfCanceled latches the abort flag between stages.
@@ -100,31 +96,13 @@ func (p *Pipeline) Runner() *experiments.Runner {
 }
 
 // SetObs attaches a metrics registry to the pipeline and its source. Run
-// then records per-stage wall-time spans (stage:controlled, stage:train,
-// stage:idle, stage:uncontrolled) and per-collector visit counts and
-// cumulative visit time. Call before Run; instrumentation is nil-safe
-// and changes no analysis output.
+// then records per-stage wall-time spans (stage:controlled or stage:fold,
+// stage:train, stage:idle, stage:uncontrolled) and per-collector visit
+// counts and cumulative visit time. Call before Run; instrumentation is
+// nil-safe and changes no analysis output.
 func (p *Pipeline) SetObs(reg *obs.Registry) {
 	p.metrics = reg
 	p.Source.SetObs(reg)
-}
-
-// timedVisitor wraps visit so each call increments
-// collector_visits.<name> and adds its latency to
-// collector_visit_ns.<name>. With no registry the visitor is returned
-// untouched, keeping the hot path allocation- and timer-free.
-func (p *Pipeline) timedVisitor(name string, visit func(*testbed.Experiment)) func(*testbed.Experiment) {
-	if p.metrics == nil {
-		return visit
-	}
-	visits := p.metrics.Counter("collector_visits." + name)
-	spent := p.metrics.Counter("collector_visit_ns." + name)
-	return func(exp *testbed.Experiment) {
-		t0 := time.Now()
-		visit(exp)
-		spent.Add(int64(time.Since(t0)))
-		visits.Inc()
-	}
 }
 
 // NewPipeline wires collectors to an experiment source's Internet model.
@@ -145,101 +123,58 @@ func NewPipeline(src Source) *Pipeline {
 
 // Run executes controlled + idle experiments through all collectors,
 // trains the inference models, and applies them to the idle captures.
-// Models train on controlled data only, so idle captures stream through
-// detection without buffering — memory stays flat at paper scale.
+// Models train on controlled data only; idle experiments are reduced to
+// their traffic units' feature vectors as they arrive and classified
+// once the models exist, so memory stays flat at paper scale.
 //
-// With more than one worker (see Workers) the collector stages run
-// sharded (shard.go) and training fans out; output is byte-identical to
-// the serial pipeline either way.
+// Every source runs its collectors through fold units (fold.go): a
+// source with a single-decode pass folds the whole campaign during its
+// decode, and every other source delivers each leg to foldStream. Output
+// is byte-identical for any Workers value.
 func (p *Pipeline) Run(cfg InferConfig) {
 	p.aborted = false
 	if p.abortIfCanceled() {
 		return
 	}
-	workers := workerCount(p.Workers)
+	workers := parallel.Workers(p.Workers)
 	if cfg.Workers == 0 {
 		// A pipeline forced serial evaluates models serially too, so
-		// -analysis-workers=1 reproduces the historical single-threaded
-		// run end to end.
+		// -analysis-workers=1 runs single-threaded end to end.
 		cfg.Workers = workers
 	}
+	p.metrics.Gauge("analysis_workers").Set(float64(workers))
 
-	// Single-decode streaming: a source that can fold the campaign into
-	// the collectors during its decode pass skips the per-leg replay
-	// decode entirely. The per-flow observation hooks are serial-only
-	// (they see flows in delivery order), so their presence forces the
-	// classic replay path.
-	if sd, ok := p.Source.(singleDecodeSource); ok && sd.SingleDecode() &&
-		p.Dest.OnDestination == nil && p.Enc.OnFlow == nil {
+	if sd, ok := p.Source.(singleDecodeSource); ok && sd.SingleDecode() {
 		p.runSingleDecode(sd, cfg)
 		return
 	}
 
+	sink := &foldSink{p: p}
 	span := p.metrics.StartSpan("stage:controlled")
-	if workers > 1 {
-		p.Stats = p.runShardedStage("controlled", workers, true, p.Source.RunControlled)
-	} else {
-		var (
-			degrade  = p.timedVisitor("degrade", p.degradeExp)
-			dest     = p.timedVisitor("dest", p.Dest.Visit)
-			enc      = p.timedVisitor("enc", p.Enc.Visit)
-			content  = p.timedVisitor("content", p.Content.Visit)
-			identify = p.timedVisitor("identify", p.Identify.Visit)
-		)
-		p.Stats = p.Source.RunControlled(func(exp *testbed.Experiment) {
-			if p.canceled() {
-				exp.Done()
-				return
-			}
-			degrade(exp)
-			dest(exp)
-			enc(exp)
-			content(exp)
-			identify(exp)
-			exp.Done()
-		})
-	}
+	p.Stats = p.foldStream(sink, true, workers, p.Source.RunControlled)
 	span.End()
-	if p.abortIfCanceled() {
-		return
-	}
-
-	span = p.metrics.StartSpan("stage:train")
-	p.metrics.SetLabel("stage", "train")
-	p.Inference = p.Content.Infer(cfg)
-	p.Detector = NewDetector(p.Content, p.Inference, cfg)
-	span.End()
-	if p.abortIfCanceled() {
+	if p.abortIfCanceled() || !p.train(cfg) {
 		return
 	}
 
 	p.IdleHits = NewDetectResult()
 	span = p.metrics.StartSpan("stage:idle")
-	if workers > 1 {
-		p.IdleStats = p.runShardedStage("idle", workers, false, p.Source.RunIdle)
-	} else {
-		var (
-			degrade = p.timedVisitor("degrade", p.degradeExp)
-			dest    = p.timedVisitor("dest", p.Dest.Visit)
-			enc     = p.timedVisitor("enc", p.Enc.Visit)
-			detect  = p.timedVisitor("detector", func(exp *testbed.Experiment) {
-				p.Detector.VisitIdle(exp, p.IdleHits)
-			})
-		)
-		p.IdleStats = p.Source.RunIdle(func(exp *testbed.Experiment) {
-			if p.canceled() {
-				exp.Done()
-				return
-			}
-			degrade(exp)
-			dest(exp)
-			enc(exp)
-			detect(exp)
-			exp.Done()
-		})
-	}
+	p.IdleStats = p.foldStream(sink, false, workers, p.Source.RunIdle)
+	p.replayIdleDetections(sink.idle)
 	span.End()
 	p.abortIfCanceled()
+}
+
+// train fits the inference models and the idle detector on the merged
+// controlled-leg collectors. It reports false if the pipeline was
+// cancelled meanwhile.
+func (p *Pipeline) train(cfg InferConfig) bool {
+	span := p.metrics.StartSpan("stage:train")
+	p.metrics.SetLabel("stage", "train")
+	p.Inference = p.Content.Infer(cfg)
+	p.Detector = NewDetector(p.Content, p.Inference, cfg)
+	span.End()
+	return !p.abortIfCanceled()
 }
 
 // RunUncontrolled executes the §7.3 user-study analysis; Run must have

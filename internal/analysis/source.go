@@ -15,6 +15,12 @@ import (
 // (ingest.Options.Stream); the delivery contract below is identical
 // either way. The pipeline is indifferent to which source feeds it —
 // given the same experiment stream all produce byte-identical tables.
+//
+// The pipeline cuts each delivered leg into runs at device boundaries
+// and folds the runs on its own workers (fold.go), so an experiment may
+// still be in use after visit returns: a source must leave it intact
+// until its Done is called. Legs delivered device by device keep runs
+// long and the fold workers busy.
 type Source interface {
 	// Internet exposes the (simulated) server side the captures talk
 	// to; the destination analysis needs its org registry and

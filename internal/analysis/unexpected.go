@@ -7,6 +7,7 @@ import (
 	"github.com/neu-sns/intl-iot-go/internal/experiments"
 	"github.com/neu-sns/intl-iot-go/internal/features"
 	"github.com/neu-sns/intl-iot-go/internal/ml"
+	"github.com/neu-sns/intl-iot-go/internal/parallel"
 	"github.com/neu-sns/intl-iot-go/internal/testbed"
 )
 
@@ -134,7 +135,7 @@ func NewDetector(c *ContentCollector, results []InferenceResult, cfg InferConfig
 	fcfg := cfg.CV.Forest
 	fcfg.Seed = cfg.CV.Seed
 	fcfg.Workers = 1 // the models already saturate the worker pool
-	parallelFor(len(picks), workerCount(cfg.Workers), func(i int) {
+	parallel.For(len(picks), parallel.Workers(cfg.Workers), func(i int) {
 		models[i] = &deviceModel{
 			forest:    ml.TrainForest(picks[i].ds, fcfg),
 			f1:        picks[i].r.DeviceF1,
@@ -188,16 +189,6 @@ type DetectResult struct {
 	Hours map[string]float64
 	// deviceHours accumulates per (column, device) to derive Hours.
 	deviceHours map[string]map[string]float64
-	// tagged buffers shard-local detections with their experiment's
-	// delivery sequence; finalize re-interleaves them into Detections in
-	// delivery order. Serial visits append to Detections directly and
-	// never populate it.
-	tagged []taggedDetection
-}
-
-type taggedDetection struct {
-	seq int64
-	det Detection
 }
 
 // DetectKey identifies a Table 11 cell.
@@ -217,106 +208,89 @@ func NewDetectResult() *DetectResult {
 	}
 }
 
-// VisitIdle classifies one idle experiment's traffic.
-func (d *Detector) VisitIdle(exp *testbed.Experiment, res *DetectResult) {
-	d.visitIdleAt(-1, exp, res)
+// idleCapture is one idle experiment reduced to what detection needs:
+// identity, wall-clock extent, and its traffic units already segmented
+// and vectorized from the degraded packets. Fold units keep these until
+// the models exist; VisitIdle detects from one straight away.
+type idleCapture struct {
+	devID, devName, column string
+	start, end             time.Time
+	units                  []idleUnit
 }
 
-// visitIdleAt is VisitIdle with an explicit delivery sequence. A
-// non-negative seq tags each detection for later re-interleaving
-// (sharded stages call finalize after merging); seq -1 appends directly,
-// which is the serial path.
-func (d *Detector) visitIdleAt(seq int64, exp *testbed.Experiment, res *DetectResult) {
-	model, ok := d.models[instColKey{exp.Device.ID(), exp.Column}]
+type idleUnit struct {
+	packets    int
+	start, end time.Time
+	// vec is nil for units below captureIdle's minPackets.
+	vec []float64
+}
+
+// captureIdle segments exp's traffic into units at gap and vectorizes
+// with fs every unit of at least minPackets packets.
+func captureIdle(exp *testbed.Experiment, gap time.Duration, fs features.Set, minPackets int) idleCapture {
+	ic := idleCapture{
+		devID:   exp.Device.ID(),
+		devName: exp.Device.Profile.Name,
+		column:  exp.Column,
+		start:   exp.Start,
+		end:     exp.End,
+	}
+	for _, unit := range features.Segment(exp.Packets, gap) {
+		u := idleUnit{packets: len(unit.Packets), start: unit.Start, end: unit.End}
+		if u.packets >= minPackets {
+			u.vec = features.Vector(unit.Packets, fs)
+		}
+		ic.units = append(ic.units, u)
+	}
+	return ic
+}
+
+// VisitIdle classifies one idle experiment's traffic.
+func (d *Detector) VisitIdle(exp *testbed.Experiment, res *DetectResult) {
+	if !d.HasModel(exp.Device.ID(), exp.Column) {
+		return // detectIdle would drop the capture unread
+	}
+	ic := captureIdle(exp, d.Gap, d.FeatureSet, d.MinUnitPackets)
+	d.detectIdle(&ic, res)
+}
+
+// detectIdle classifies one captured idle experiment into res. The model
+// lookup gates all accounting: hours and unit totals accrue only for
+// devices with a model, and detections append in call order.
+func (d *Detector) detectIdle(ic *idleCapture, res *DetectResult) {
+	model, ok := d.models[instColKey{ic.devID, ic.column}]
 	if !ok {
 		return
 	}
-	if res.deviceHours[exp.Column] == nil {
-		res.deviceHours[exp.Column] = map[string]float64{}
+	if res.deviceHours[ic.column] == nil {
+		res.deviceHours[ic.column] = map[string]float64{}
 	}
-	res.deviceHours[exp.Column][exp.Device.ID()] += exp.End.Sub(exp.Start).Hours()
-	if h := res.deviceHours[exp.Column][exp.Device.ID()]; h > res.Hours[exp.Column] {
-		res.Hours[exp.Column] = h
+	res.deviceHours[ic.column][ic.devID] += ic.end.Sub(ic.start).Hours()
+	if h := res.deviceHours[ic.column][ic.devID]; h > res.Hours[ic.column] {
+		res.Hours[ic.column] = h
 	}
-	us := res.Units[exp.Column]
+	us := res.Units[ic.column]
 	if us == nil {
 		us = &unitStats{}
-		res.Units[exp.Column] = us
+		res.Units[ic.column] = us
 	}
-	for _, unit := range features.Segment(exp.Packets, d.Gap) {
+	for _, u := range ic.units {
 		us.Total++
-		if len(unit.Packets) < d.MinUnitPackets {
+		if u.packets < d.MinUnitPackets {
 			continue
 		}
-		vec := features.Vector(unit.Packets, d.FeatureSet)
-		label, vote := model.forest.PredictTop(vec)
-		if vote < d.MinVote || !model.withinEnvelope(label, vec) {
+		label, vote := model.forest.PredictTop(u.vec)
+		if vote < d.MinVote || !model.withinEnvelope(label, u.vec) {
 			continue
 		}
 		us.Classified++
-		det := Detection{
-			DeviceID: exp.Device.ID(), DeviceName: exp.Device.Profile.Name,
-			Column: exp.Column, Activity: label,
-			Start: unit.Start, End: unit.End,
-		}
-		if seq >= 0 {
-			res.tagged = append(res.tagged, taggedDetection{seq, det})
-		} else {
-			res.Detections = append(res.Detections, det)
-		}
-		res.Counts[DetectKey{exp.Device.Profile.Name, label, exp.Column}]++
+		res.Detections = append(res.Detections, Detection{
+			DeviceID: ic.devID, DeviceName: ic.devName,
+			Column: ic.column, Activity: label,
+			Start: u.start, End: u.end,
+		})
+		res.Counts[DetectKey{ic.devName, label, ic.column}]++
 	}
-}
-
-// merge folds a shard's result into r: counts and unit totals add,
-// per-device hours add over disjoint devices (experiments route by
-// device), per-column Hours takes the max — each device's full
-// accumulation lives on one shard, so the max over shard maxima equals
-// the serial running max. Tagged detections concatenate; finalize
-// re-interleaves them.
-func (r *DetectResult) merge(o *DetectResult) {
-	r.tagged = append(r.tagged, o.tagged...)
-	for k, n := range o.Counts {
-		r.Counts[k] += n
-	}
-	for col, us := range o.Units {
-		cur := r.Units[col]
-		if cur == nil {
-			r.Units[col] = us
-			continue
-		}
-		cur.Total += us.Total
-		cur.Classified += us.Classified
-	}
-	for col, devs := range o.deviceHours {
-		cur := r.deviceHours[col]
-		if cur == nil {
-			r.deviceHours[col] = devs
-			continue
-		}
-		for dev, h := range devs {
-			cur[dev] += h
-		}
-	}
-	for col, h := range o.Hours {
-		if h > r.Hours[col] {
-			r.Hours[col] = h
-		}
-	}
-}
-
-// finalize moves tagged detections into Detections in delivery order.
-// The sort is stable so the within-experiment unit order each shard
-// produced survives; serial runs have nothing tagged and skip out.
-func (r *DetectResult) finalize() {
-	if len(r.tagged) == 0 {
-		return
-	}
-	sort.SliceStable(r.tagged, func(i, j int) bool { return r.tagged[i].seq < r.tagged[j].seq })
-	for _, td := range r.tagged {
-		r.Detections = append(r.Detections, td.det)
-	}
-	r.tagged = nil
 }
 
 // Table11Row is one row of Table 11.

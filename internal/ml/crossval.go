@@ -3,6 +3,7 @@ package ml
 import (
 	"math/rand"
 
+	"github.com/neu-sns/intl-iot-go/internal/parallel"
 	"github.com/neu-sns/intl-iot-go/internal/stats"
 )
 
@@ -76,7 +77,7 @@ func CrossValidate(d *Dataset, cfg CVConfig) CVResult {
 	// accumulation order matches the serial loop exactly. Inner forests
 	// train serially — the repeats already saturate the worker pool.
 	cms := make([]*stats.ConfusionMatrix, len(reps))
-	parallelFor(len(reps), workerCount(cfg.Workers), func(i int) {
+	parallel.For(len(reps), parallel.Workers(cfg.Workers), func(i int) {
 		fcfg := cfg.Forest
 		fcfg.Seed = reps[i].seed
 		fcfg.Workers = 1

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"github.com/neu-sns/intl-iot-go/internal/parallel"
 )
 
 // ForestConfig controls random-forest training.
@@ -79,7 +81,7 @@ func TrainForest(d *Dataset, cfg ForestConfig) *Forest {
 		boots[t] = idx
 		seeds[t] = rng.Int63()
 	}
-	parallelFor(cfg.NumTrees, workerCount(cfg.Workers), func(t int) {
+	parallel.For(cfg.NumTrees, parallel.Workers(cfg.Workers), func(t int) {
 		treeRng := rand.New(rand.NewSource(seeds[t]))
 		f.trees[t] = TrainTree(d.Subset(boots[t]), tcfg, treeRng)
 	})

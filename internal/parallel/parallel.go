@@ -1,26 +1,28 @@
-package ml
+// Package parallel holds the index-parallel loop that model training,
+// cross-validation and per-dataset evaluation share.
+package parallel
 
 import (
 	"runtime"
 	"sync"
 )
 
-// workerCount resolves a Workers knob: n > 0 is taken literally, anything
-// else means "one worker per core".
-func workerCount(n int) int {
+// Workers resolves a Workers knob: n > 0 is taken literally, anything
+// else means one worker per core.
+func Workers(n int) int {
 	if n > 0 {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// parallelFor runs fn(i) for every i in [0, n) on at most workers
-// goroutines and returns when all calls finished. With one worker (or one
-// item) it degenerates to a plain loop on the calling goroutine, so serial
+// For runs fn(i) for every i in [0, n) on at most workers goroutines
+// and returns when all calls finished. With one worker (or one item) it
+// degenerates to a plain loop on the calling goroutine, so serial
 // configurations pay no synchronization. Callers keep determinism by
 // making fn(i) a pure function of pre-drawn inputs that writes only to
 // slot i of an output slice.
-func parallelFor(n, workers int, fn func(int)) {
+func For(n, workers int, fn func(int)) {
 	if workers > n {
 		workers = n
 	}
